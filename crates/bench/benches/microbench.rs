@@ -143,10 +143,10 @@ fn window_spec() -> QuerySpec {
 fn bench_joinorder(c: &mut Criterion) {
     let spec = window_spec();
     let graph = QueryGraph::from_spec(&spec).unwrap();
-    let lazy = PlanOptions::lazy(&["F.uri"]);
+    let opts = PlanOptions::with_qf_columns(&["F.uri"]);
     let mut g = c.benchmark_group("joinorder");
     g.bench_function("metadata_first_r1_r4", |b| {
-        b.iter(|| order_metadata_first(black_box(&graph), &spec, &lazy).unwrap())
+        b.iter(|| order_metadata_first(black_box(&graph), &spec, &opts).unwrap())
     });
     g.bench_function("traditional", |b| {
         b.iter(|| order_traditional(black_box(&graph), &spec).unwrap())

@@ -728,9 +728,11 @@ mod tests {
         let runs = std::sync::atomic::AtomicUsize::new(0);
         let run = |dspec: QuerySpec| -> Result<QueryOutcome> {
             runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            let plan = sommelier_engine::joinorder::plan_query(
+            // The reference planner: plain scans, no chunk access.
+            let graph = sommelier_engine::graph::QueryGraph::from_spec(&dspec)?;
+            let plan = sommelier_engine::joinorder::finish(
+                sommelier_engine::joinorder::order_traditional(&graph, &dspec)?,
                 &dspec,
-                &sommelier_engine::joinorder::PlanOptions::eager(),
             )?;
             Ok(sommelier_engine::twostage::execute_plan(
                 &db,

@@ -50,6 +50,7 @@ pub mod config;
 pub mod dmd;
 pub mod error;
 pub mod fault;
+pub mod loaded;
 pub mod loader;
 pub mod prefetch;
 pub mod query;
@@ -76,11 +77,14 @@ pub use source::{
 use cellar::{Cellar, CellarConfig, CellarSource};
 use chunks::{AdapterChunkSource, ChunkRegistry};
 use dmd::{DmdManager, DmdOutcome};
+use loaded::LoadedChunks;
 use parking_lot::Mutex;
 use sommelier_engine::joinorder::PlanOptions;
 use sommelier_engine::obs::span::fmt_ns;
 use sommelier_engine::optimizer::{self, PassTrace};
-use sommelier_engine::twostage::{execute_plan, ChunkAccess, QueryOutcome, TwoStageConfig};
+use sommelier_engine::twostage::{
+    execute_plan, ChunkAccess, ChunkResidency, QueryOutcome, TwoStageConfig,
+};
 use sommelier_engine::{
     ColumnZone, ExecStats, LogicalPlan, Obs, QuerySpec, Relation, TraceCollector,
     ZoneCandidates,
@@ -730,12 +734,12 @@ impl Sommelier {
         Ok(cellar)
     }
 
-    fn prepared_info(&self) -> Result<(LoadingMode, Arc<Cellar>)> {
+    fn prepared_info(&self) -> Result<(LoadingMode, Arc<Cellar>, Vec<Arc<ChunkRegistry>>)> {
         let guard = self.prepared.lock();
         let p = guard.as_ref().ok_or_else(|| {
             SommelierError::Usage("call prepare(mode) before querying".into())
         })?;
-        Ok((p.mode, Arc::clone(&p.cellar)))
+        Ok((p.mode, Arc::clone(&p.cellar), p.registries.clone()))
     }
 
     /// Which registered source owns every table `spec` references.
@@ -776,13 +780,11 @@ impl Sommelier {
         Ok(CompiledQuery { source_idx, qtype, spec })
     }
 
-    fn plan_options(&self, mode: LoadingMode, source_idx: usize) -> PlanOptions {
-        if mode == LoadingMode::Lazy {
-            let cols = self.sources[source_idx].descriptor.lazy_qf_columns();
-            PlanOptions::lazy(&cols.iter().map(String::as_str).collect::<Vec<_>>())
-        } else {
-            PlanOptions::eager()
-        }
+    /// Planning is the same in every loading mode: metadata first, with
+    /// `Qf` keeping the columns that name the chunks.
+    fn plan_options(&self, source_idx: usize) -> PlanOptions {
+        let cols = self.sources[source_idx].descriptor.lazy_qf_columns();
+        PlanOptions::with_qf_columns(&cols.iter().map(String::as_str).collect::<Vec<_>>())
     }
 
     fn two_stage_config(&self, mode: LoadingMode, source_idx: usize) -> TwoStageConfig {
@@ -834,7 +836,7 @@ impl Sommelier {
     ) -> Result<QueryResult> {
         let t_query = Instant::now();
         let sampling = opts.sampling;
-        let (mode, cellar) = self.prepared_info()?;
+        let (mode, cellar, registries) = self.prepared_info()?;
         // One token serves both explicit cancellation and the timeout.
         let cancel = match (&opts.cancel, opts.timeout) {
             (Some(c), Some(t)) => {
@@ -968,7 +970,7 @@ impl Sommelier {
                 None,
             );
         }
-        let plan_opts = self.plan_options(mode, compiled.source_idx);
+        let plan_opts = self.plan_options(compiled.source_idx);
         let t_plan = Instant::now();
         let (plan, mut trace) =
             optimizer::compile_plan(&compiled.spec, &self.db, &plan_opts)?;
@@ -1009,14 +1011,24 @@ impl Sommelier {
         ts_config.priority = opts.priority;
         ts_config.cancel = cancel;
         ts_config.degradation = opts.degradation;
-        let scoped = cellar.scoped(compiled.source_idx);
-        let access = if mode == LoadingMode::Lazy {
-            ChunkAccess::Managed(&scoped)
+        // Lazy mode decodes chunks through the cellar; eager modes read
+        // the same chunks' rows of the loaded actual-data table.
+        let (scoped, loaded);
+        let residency: &dyn ChunkResidency = if mode.is_eager() {
+            loaded = LoadedChunks::new(
+                &self.db,
+                &registries[compiled.source_idx],
+                &source.descriptor,
+                self.obs(),
+            )?;
+            &loaded
         } else {
-            ChunkAccess::None
+            scoped = cellar.scoped(compiled.source_idx);
+            &scoped
         };
         let evictions_before = cellar.stats().evictions;
-        let outcome = execute_plan(&self.db, &plan, access, &ts_config)?;
+        let outcome =
+            execute_plan(&self.db, &plan, ChunkAccess::Managed(residency), &ts_config)?;
         trace.extend(outcome.trace);
         let mut stats = outcome.stats;
         // Fold the residency manager's eviction activity into the
@@ -1142,11 +1154,11 @@ impl Sommelier {
     }
 
     /// Compile and run a SQL query *approximately* (the paper's §VIII
-    /// future-work sketch): in lazy mode, only `fraction` of the
-    /// selected chunks are ingested (deterministic sample). Aggregates
-    /// like `AVG`/`MIN`/`MAX` are estimated from the sample; `COUNT`
-    /// and `SUM` scale down with the fraction. In eager modes this is
-    /// identical to [`Sommelier::query`] (all data already loaded).
+    /// future-work sketch): only `fraction` of the selected chunks are
+    /// read (deterministic sample) — decoded in lazy mode, read from
+    /// the loaded table in eager modes. Aggregates like
+    /// `AVG`/`MIN`/`MAX` are estimated from the sample; `COUNT` and
+    /// `SUM` scale down with the fraction.
     pub fn query_approx(&self, sql: &str, fraction: f64) -> Result<QueryResult> {
         if !(0.0..=1.0).contains(&fraction) || fraction == 0.0 {
             return Err(SommelierError::Usage(format!(
@@ -1177,10 +1189,10 @@ impl Sommelier {
         {
             return self.explain_analyze(&t[7..]);
         }
-        let (mode, _) = self.prepared_info()?;
+        let (mode, _, _) = self.prepared_info()?;
         let spec = sommelier_sql::compile(sql, &self.catalog)?;
         let compiled = self.compile_spec(spec)?;
-        let opts = self.plan_options(mode, compiled.source_idx);
+        let opts = self.plan_options(compiled.source_idx);
         let (plan, compile_trace) = optimizer::compile_plan(&compiled.spec, &self.db, &opts)?;
         let s2_opts = optimizer::Stage2Options {
             use_index_joins: mode.builds_indices(),
@@ -1250,10 +1262,10 @@ impl Sommelier {
     /// timings, and the stage/chunk accounting. Also reachable as
     /// `explain("ANALYZE <sql>")`.
     pub fn explain_analyze(&self, sql: &str) -> Result<String> {
-        let (mode, _) = self.prepared_info()?;
+        let (mode, _, _) = self.prepared_info()?;
         let spec = sommelier_sql::compile(sql, &self.catalog)?;
         let compiled = self.compile_spec(spec.clone())?;
-        let opts = self.plan_options(mode, compiled.source_idx);
+        let opts = self.plan_options(compiled.source_idx);
         let (plan, _) = optimizer::compile_plan(&compiled.spec, &self.db, &opts)?;
         let result = self.run_spec_opts(spec, true, true, &QueryOptions::default())?;
         let stats = &result.stats;

@@ -443,6 +443,15 @@ impl PrefetchPlan {
                     return;
                 }
             }
+            // `finish` sets `finished` before taking `mine`: checked under
+            // this lock, a registration either lands in `mine` before
+            // `finish` abandons it or is never made. Otherwise an IO
+            // thread pumping during `finish` could stage bytes nobody
+            // releases.
+            let mut mine = self.mine.lock();
+            if self.finished.load(Ordering::Acquire) {
+                return;
+            }
             // Register the latch; skip URIs already in flight (another
             // plan or an earlier duplicate).
             let latch = {
@@ -454,7 +463,8 @@ impl PrefetchPlan {
                 entries.insert(uri.clone(), Arc::clone(&latch));
                 latch
             };
-            self.mine.lock().push((uri.clone(), Arc::clone(&latch)));
+            mine.push((uri.clone(), Arc::clone(&latch)));
+            drop(mine);
             self.stage.issued.fetch_add(1, Ordering::Relaxed);
             self.submitted.fetch_add(1, Ordering::Relaxed);
             self.outstanding.fetch_add(1, Ordering::AcqRel);

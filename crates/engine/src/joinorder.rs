@@ -1,5 +1,5 @@
-//! Compile-time join ordering — the paper's rules R1–R4, plus a
-//! "traditional" optimizer used for the eager loading baselines.
+//! Compile-time join ordering — the paper's rules R1–R4, plus the
+//! inference-free reference planner tests compare against.
 //!
 //! * **R1** Join on red edges first before anything else.
 //! * **R2** Only if necessary, use cross-products to join all red
@@ -10,12 +10,18 @@
 //! [`order_metadata_first`] produces the decomposed plan
 //! `Q = Qf ▷ Qs`: a join tree where all metadata (red) vertices form
 //! one subtree, wrapped in [`LogicalPlan::QfMark`], and actual-data
-//! (black) vertices attach linearly above it. With `lazy = true` the
-//! black leaves become [`LogicalPlan::LazyScan`]s.
+//! (black) vertices attach linearly above it as
+//! [`LogicalPlan::LazyScan`]s. Every loading mode runs this plan: stage
+//! 1 picks the chunks, stage 2 reads only their rows, whether they are
+//! decoded on demand or already loaded.
 //!
-//! [`order_traditional`] is what a selectivity-greedy textbook optimizer
-//! would do (start from the selective big table, chain in the rest) —
-//! the plan shape the eager variants run, where index joins apply.
+//! [`order_traditional`] is the *reference planner*: what a
+//! selectivity-greedy textbook optimizer would do (start from the
+//! selective big table, chain in the rest) over plain [`LogicalPlan::Scan`]
+//! leaves — no decomposition, no inference, no pruning. No production
+//! path runs it; tests run its plans with
+//! [`crate::twostage::ChunkAccess::None`] over a loaded database as the
+//! differential oracle for the metadata-first plans.
 
 use crate::error::{EngineError, Result};
 use crate::expr::Expr;
@@ -24,55 +30,48 @@ use crate::logical::LogicalPlan;
 use crate::spec::{OutputExpr, QuerySpec};
 
 /// How to plan a query.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PlanOptions {
-    /// Metadata-first (two-stage) shape vs. traditional shape.
-    pub metadata_first: bool,
-    /// Emit `LazyScan` leaves for actual-data tables (lazy loading).
-    pub lazy: bool,
     /// Extra columns the `Qf` output must retain (e.g. `F.uri` and
     /// `F.file_id` so the run-time optimizer can name the chunks).
     pub qf_extra_columns: Vec<String>,
 }
 
 impl PlanOptions {
-    /// The paper's lazy two-stage planning.
-    pub fn lazy(qf_extra: &[&str]) -> Self {
-        PlanOptions {
-            metadata_first: true,
-            lazy: true,
-            qf_extra_columns: qf_extra.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-
-    /// Traditional planning over fully loaded tables.
-    pub fn eager() -> Self {
-        PlanOptions { metadata_first: false, lazy: false, qf_extra_columns: Vec::new() }
+    /// Plan options keeping `qf_extra` in `Qf`'s output.
+    pub fn with_qf_columns(qf_extra: &[&str]) -> Self {
+        PlanOptions { qf_extra_columns: qf_extra.iter().map(|s| s.to_string()).collect() }
     }
 }
 
-/// Plan `spec` according to `opts`, producing a complete logical plan
+/// Plan `spec` metadata-first, producing a complete logical plan
 /// (join tree + aggregation/projection/ordering).
 pub fn plan_query(spec: &QuerySpec, opts: &PlanOptions) -> Result<LogicalPlan> {
     let graph = QueryGraph::from_spec(spec)?;
-    let join_tree = if opts.metadata_first {
-        order_metadata_first(&graph, spec, opts)?
-    } else {
-        order_traditional(&graph, spec)?
-    };
-    finish(join_tree, spec)
+    finish(order_metadata_first(&graph, spec, opts)?, spec)
 }
 
-/// Scan leaf for vertex `v`.
-fn leaf(graph: &QueryGraph, spec: &QuerySpec, v: usize, opts: &PlanOptions) -> LogicalPlan {
+/// Plain base-table scan of vertex `v`, keeping `extra` columns.
+fn scan(graph: &QueryGraph, spec: &QuerySpec, v: usize, extra: &[&str]) -> LogicalPlan {
     let vertex = &graph.vertices[v];
+    LogicalPlan::Scan {
+        table: vertex.table.clone(),
+        columns: spec.needed_columns(&vertex.table, extra),
+        predicate: vertex.predicate.clone(),
+    }
+}
+
+/// Metadata-first leaf for vertex `v`: a lazy scan for actual data, a
+/// base-table scan for metadata.
+fn leaf(graph: &QueryGraph, spec: &QuerySpec, v: usize, opts: &PlanOptions) -> LogicalPlan {
     let extra: Vec<&str> = opts.qf_extra_columns.iter().map(|s| s.as_str()).collect();
-    let columns = spec.needed_columns(&vertex.table, &extra);
-    let predicate = vertex.predicate.clone();
-    if opts.lazy && vertex.color == VertexColor::Black {
-        LogicalPlan::LazyScan { table: vertex.table.clone(), columns, predicate }
-    } else {
-        LogicalPlan::Scan { table: vertex.table.clone(), columns, predicate }
+    match scan(graph, spec, v, &extra) {
+        LogicalPlan::Scan { table, columns, predicate }
+            if graph.vertices[v].color == VertexColor::Black =>
+        {
+            LogicalPlan::LazyScan { table, columns, predicate }
+        }
+        plain => plain,
     }
 }
 
@@ -215,12 +214,13 @@ pub fn order_metadata_first(
     Ok(plan)
 }
 
-/// A traditional greedy order: start from a selective actual-data
+/// The reference planner's join order: a traditional greedy order
+/// over plain base-table scans. Start from a selective actual-data
 /// table, then repeatedly join the "cheapest" connected vertex
-/// (predicated metadata first).
+/// (predicated metadata first). Wrap the result in [`finish`] for a
+/// complete plan.
 pub fn order_traditional(graph: &QueryGraph, spec: &QuerySpec) -> Result<LogicalPlan> {
     let n = graph.vertices.len();
-    let opts = PlanOptions::eager();
     let mut covered = vec![false; n];
     let rank = |v: usize| -> (u8, u8) {
         let vx = &graph.vertices[v];
@@ -238,7 +238,7 @@ pub fn order_traditional(graph: &QueryGraph, spec: &QuerySpec) -> Result<Logical
         .min_by_key(|&v| rank(v))
         .or_else(|| (0..n).min_by_key(|&v| rank(v)))
         .ok_or_else(|| EngineError::Plan("query with no tables".into()))?;
-    let mut plan = leaf(graph, spec, start, &opts);
+    let mut plan = scan(graph, spec, start, &[]);
     covered[start] = true;
     let mut remaining: Vec<usize> = (0..n).filter(|&v| v != start).collect();
     while !remaining.is_empty() {
@@ -250,7 +250,7 @@ pub fn order_traditional(graph: &QueryGraph, spec: &QuerySpec) -> Result<Logical
             .collect();
         let v = connected.into_iter().min_by_key(|&v| rank(v)).unwrap_or(remaining[0]);
         remaining.retain(|&x| x != v);
-        let v_leaf = leaf(graph, spec, v, &opts);
+        let v_leaf = scan(graph, spec, v, &[]);
         // New table goes on the right: it becomes the hash-join build
         // side (metadata tables are small) or the index-join parent.
         plan = attach(graph, plan, &covered, v, v_leaf, false)?;
@@ -321,7 +321,7 @@ mod tests {
     #[test]
     fn metadata_first_separates_colors() {
         let spec = windowish_spec();
-        let opts = PlanOptions::lazy(&["F.uri", "F.file_id"]);
+        let opts = PlanOptions::with_qf_columns(&["F.uri", "F.file_id"]);
         let graph = QueryGraph::from_spec(&spec).unwrap();
         let plan = order_metadata_first(&graph, &spec, &opts).unwrap();
         let qf = plan.qf().expect("Qf must be marked");
@@ -335,7 +335,7 @@ mod tests {
     #[test]
     fn qf_scan_keeps_required_columns() {
         let spec = windowish_spec();
-        let opts = PlanOptions::lazy(&["F.uri", "F.file_id"]);
+        let opts = PlanOptions::with_qf_columns(&["F.uri", "F.file_id"]);
         let plan = plan_query(&spec, &opts).unwrap();
         let mut found_uri = false;
         plan.visit(&mut |p| {
@@ -363,7 +363,7 @@ mod tests {
             .unwrap(),
         );
         let graph = QueryGraph::from_spec(&spec).unwrap();
-        let opts = PlanOptions::lazy(&[]);
+        let opts = PlanOptions::with_qf_columns(&[]);
         let plan = order_metadata_first(&graph, &spec, &opts).unwrap();
         // Walk down the spine: every Join's left child must be a leaf
         // scan (linear chain), never a Join of two black subtrees.
@@ -399,7 +399,7 @@ mod tests {
             ..QuerySpec::default()
         };
         let graph = QueryGraph::from_spec(&spec).unwrap();
-        let opts = PlanOptions::lazy(&[]);
+        let opts = PlanOptions::with_qf_columns(&[]);
         let plan = order_metadata_first(&graph, &spec, &opts).unwrap();
         let qf = plan.qf().unwrap();
         let mut has_cross = false;
@@ -427,7 +427,7 @@ mod tests {
             }],
             ..QuerySpec::default()
         };
-        let plan = plan_query(&spec, &PlanOptions::lazy(&[])).unwrap();
+        let plan = plan_query(&spec, &PlanOptions::with_qf_columns(&[])).unwrap();
         assert!(plan.qf().is_some());
         assert!(!plan.has_lazy_scan());
     }
@@ -442,7 +442,7 @@ mod tests {
             }],
             ..QuerySpec::default()
         };
-        let plan = plan_query(&spec, &PlanOptions::lazy(&[])).unwrap();
+        let plan = plan_query(&spec, &PlanOptions::with_qf_columns(&[])).unwrap();
         assert!(plan.qf().is_none());
         assert!(plan.has_lazy_scan());
     }
@@ -477,7 +477,7 @@ mod tests {
             func: crate::expr::AggFunc::Avg,
             expr: Expr::col("D.sample_value"),
         }];
-        let plan = plan_query(&spec, &PlanOptions::lazy(&["F.uri"])).unwrap();
+        let plan = plan_query(&spec, &PlanOptions::with_qf_columns(&["F.uri"])).unwrap();
         match &plan {
             LogicalPlan::Project { input, exprs } => {
                 assert_eq!(exprs[0].0, "avg_v");
@@ -492,7 +492,7 @@ mod tests {
         let mut spec = windowish_spec();
         spec.order_by = vec![("v".into(), true)];
         spec.limit = Some(10);
-        let plan = plan_query(&spec, &PlanOptions::eager()).unwrap();
+        let plan = plan_query(&spec, &PlanOptions::default()).unwrap();
         match &plan {
             LogicalPlan::Limit { input, n } => {
                 assert_eq!(*n, 10);

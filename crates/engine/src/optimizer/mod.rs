@@ -14,8 +14,9 @@
 //! Two pipelines cover the query lifecycle:
 //!
 //! * **compile** ([`compile_plan`]): `join_order` — the R1–R4
-//!   metadata-first decomposition (or the traditional greedy order for
-//!   eager plans), producing the logical plan.
+//!   metadata-first decomposition, producing the logical plan. Every
+//!   loading mode runs it; eager modes resolve its lazy scans against
+//!   the loaded actual-data table.
 //! * **stage 2** ([`rewrite_stage2`]), invoked by the two-stage driver
 //!   once the stage-1 chunk list is known:
 //!   `zone_map_pruning` → `chunk_rewrite` → `selection_pushdown` →
@@ -111,7 +112,7 @@ pub struct OptState<'a> {
     /// The physical plan (output of `chunk_rewrite`).
     pub physical: Option<PhysicalPlan>,
     /// The run-time chunk list for lazy-scan expansion. `None` for
-    /// eager plans (no lazy scans to expand).
+    /// plans without lazy scans (nothing to expand).
     pub chunks: Option<Vec<ChunkRef>>,
     /// Zone-map lookup for `zone_map_pruning`.
     pub zones: Option<&'a ZoneMapFn<'a>>,

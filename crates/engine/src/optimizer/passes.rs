@@ -11,8 +11,8 @@ use sommelier_storage::Value;
 use std::collections::HashSet;
 
 /// `join_order` — the paper's R1–R4 metadata-first decomposition
-/// (`Q = Qf ▷ Qs`) or, for eager plans, the traditional greedy order.
-/// Consumes [`OptState::spec`], produces [`OptState::logical`].
+/// (`Q = Qf ▷ Qs`), in every loading mode. Consumes
+/// [`OptState::spec`], produces [`OptState::logical`].
 pub struct JoinOrder {
     pub options: PlanOptions,
 }
@@ -34,17 +34,13 @@ impl OptPass for JoinOrder {
             return Ok(PassEffect::Skipped("no spec to order".into()));
         };
         let plan = plan_query(spec, &self.options)?;
-        let detail = if self.options.metadata_first {
-            match plan.qf() {
-                Some(qf) => format!(
-                    "metadata-first: Qf over [{}]{}",
-                    qf.tables().join(", "),
-                    if plan.has_lazy_scan() { ", lazy actual-data scans above" } else { "" }
-                ),
-                None => "metadata-first: no metadata tables (pure actual-data)".into(),
-            }
-        } else {
-            "traditional greedy order (eager plan)".into()
+        let detail = match plan.qf() {
+            Some(qf) => format!(
+                "metadata-first: Qf over [{}]{}",
+                qf.tables().join(", "),
+                if plan.has_lazy_scan() { ", lazy actual-data scans above" } else { "" }
+            ),
+            None => "metadata-first: no metadata tables (pure actual-data)".into(),
         };
         state.logical = Some(std::borrow::Cow::Owned(plan));
         Ok(PassEffect::Fired(detail))

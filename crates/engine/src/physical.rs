@@ -142,7 +142,7 @@ pub struct LowerOptions<'a> {
     pub use_index_joins: bool,
     /// Expansion of [`LogicalPlan::LazyScan`]: the chunk list computed
     /// by the run-time optimizer. `None` means lazy scans are an error
-    /// (stage-1 lowering and eager plans).
+    /// (stage-1 lowering and reference plans).
     pub lazy_chunks: Option<&'a [ChunkRef]>,
     /// Push selections into per-chunk accesses (rewrite-rule refinement).
     pub chunk_pushdown: bool,

@@ -304,7 +304,8 @@ pub trait ChunkResidency: Send + Sync {
 
 /// Where stage 2's chunk rows come from.
 pub enum ChunkAccess<'a> {
-    /// No lazy chunks available (eager plans, pure-metadata queries).
+    /// No lazy chunks available (reference plans over plain scans,
+    /// pure-metadata queries).
     None,
     /// The legacy direct path: decode through `source`, optionally
     /// caching whole chunks in the recycler. No pinning: a concurrent
@@ -401,7 +402,7 @@ pub struct TwoStageConfig {
     pub zone_map_pruning: bool,
     /// Use the Recycler chunk cache.
     pub use_cache: bool,
-    /// Use FK join indices where available (eager-index plans).
+    /// Use FK join indices where available (modes that build them).
     pub use_index_joins: bool,
     /// Which `Qf` output column carries the chunk URI. There is no
     /// meaningful default — the caller takes it from its source
@@ -555,9 +556,9 @@ pub struct QueryOutcome {
 
 /// Execute a (possibly decomposed) logical plan.
 ///
-/// Plans without lazy scans (eager loading, or queries that never touch
-/// actual data) run in a single pass; plans with lazy scans go through
-/// the full two-stage protocol.
+/// Plans without lazy scans (reference plans, or queries that never
+/// touch actual data) run in a single pass; plans with lazy scans go
+/// through the full two-stage protocol.
 pub fn execute_plan(
     db: &Database,
     plan: &LogicalPlan,

@@ -2,7 +2,13 @@
 //! `tests/` (wired into cargo through this crate's `[[test]]` entries).
 
 use sommelier_core::{LoadingMode, Result, Sommelier, SommelierConfig};
+use sommelier_engine::graph::QueryGraph;
+use sommelier_engine::joinorder;
+use sommelier_engine::twostage::{execute_plan, ChunkAccess, TwoStageConfig};
+use sommelier_engine::Relation;
 use sommelier_mseed::{DatasetSpec, MseedAdapter, Repository};
+use sommelier_sql::BindCatalog;
+use sommelier_storage::Value;
 use std::path::{Path, PathBuf};
 
 /// A self-cleaning scratch directory.
@@ -102,5 +108,44 @@ pub fn scalar_f64(result: &sommelier_core::QueryResult, col: &str) -> Option<f64
         sommelier_storage::Value::Float(v) => Some(v),
         sommelier_storage::Value::Int(v) => Some(v as f64),
         _ => None,
+    }
+}
+
+/// The differential oracle's answer to `sql` over `somm`'s loaded
+/// database: the reference planner's plan
+/// ([`sommelier_engine::joinorder::order_traditional`] — plain scans, no
+/// decomposition, no inference, no pruning) run with
+/// [`ChunkAccess::None`]. `catalog` binds the source's views.
+pub fn reference_answer(somm: &Sommelier, catalog: &BindCatalog, sql: &str) -> Relation {
+    let spec = sommelier_sql::compile(sql, catalog).expect("bind reference query");
+    let graph = QueryGraph::from_spec(&spec).expect("query graph");
+    let plan = joinorder::finish(
+        joinorder::order_traditional(&graph, &spec).expect("reference join order"),
+        &spec,
+    )
+    .expect("reference plan");
+    execute_plan(somm.db(), &plan, ChunkAccess::None, &TwoStageConfig::default())
+        .expect("run reference plan")
+        .relation
+}
+
+/// Cell-wise comparison of two answers: exact for ints, texts and
+/// timestamps, relative 1e-9 for floats (plans that sum floats in a
+/// different order may differ in the last ulps).
+pub fn assert_relations_close(got: &Relation, want: &Relation, what: &str) {
+    assert_eq!(got.names(), want.names(), "schema diverged on {what}");
+    assert_eq!(got.rows(), want.rows(), "cardinality diverged on {what}");
+    for row in 0..got.rows() {
+        for name in got.names() {
+            let a = got.value(row, name).expect("cell");
+            let b = want.value(row, name).expect("cell");
+            match (&a, &b) {
+                (Value::Float(x), Value::Float(y)) => {
+                    let tol = 1e-9 * x.abs().max(y.abs()).max(1.0);
+                    assert!((x - y).abs() <= tol, "{name}[{row}]: {x} vs {y} on {what}");
+                }
+                _ => assert_eq!(a, b, "{name}[{row}] diverged on {what}"),
+            }
+        }
     }
 }

@@ -105,11 +105,17 @@ impl DiskManager {
         if let Some(&id) = self.by_path.read().get(path) {
             return Ok(id);
         }
+        let mut by_path = self.by_path.write();
+        if let Some(&id) = by_path.get(path) {
+            return Ok(id);
+        }
         let file = File::open(path)
             .map_err(|e| StorageError::io(format!("opening {}", path.display()), e))?;
         let id = FileId(self.next_id.fetch_add(1, Ordering::Relaxed));
-        self.by_path.write().insert(path.to_path_buf(), id);
+        // The handle goes in before the id is published: a concurrent
+        // `register` that finds the id must find its file in `read_at`.
         self.files.write().insert(id, Arc::new(Mutex::new(file)));
+        by_path.insert(path.to_path_buf(), id);
         Ok(id)
     }
 
@@ -296,6 +302,46 @@ mod tests {
     use super::*;
     use crate::page::DATA_START;
     use std::io::Write;
+
+    #[test]
+    fn concurrent_register_never_hands_out_an_unopened_id() {
+        // Readers racing to register a freshly forgotten path (a column
+        // file just rewritten) must all get an id `read_at` accepts, and
+        // the same id.
+        let (_dir, path) = temp_file(&[7u8; 64]);
+        let disk = DiskManager::new();
+        let threads = 4;
+        let barrier = std::sync::Barrier::new(threads);
+        let failures: usize = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..threads)
+                .map(|t| {
+                    let (disk, path, barrier) = (&disk, &path, &barrier);
+                    scope.spawn(move || {
+                        let mut buf = [0u8; 8];
+                        let mut failures = 0;
+                        for _ in 0..200 {
+                            barrier.wait();
+                            // Count failures instead of panicking, so no
+                            // thread leaves the others waiting at the
+                            // barrier.
+                            let ok = disk.register(path).is_ok_and(|id| {
+                                disk.read_at(id, DATA_START, &mut buf).is_ok()
+                                    && disk.register(path).is_ok_and(|again| again == id)
+                            });
+                            failures += usize::from(!ok);
+                            barrier.wait();
+                            if t == 0 {
+                                disk.forget(path);
+                            }
+                        }
+                        failures
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().expect("worker panicked")).sum()
+        });
+        assert_eq!(failures, 0);
+    }
 
     fn temp_file(bytes: &[u8]) -> (tempdir::TempDirGuard, PathBuf) {
         let dir = tempdir::tempdir("bufferpool");

@@ -9,7 +9,7 @@ use crate::buffer::{BufferPool, BufferPoolConfig};
 use crate::catalog::{Catalog, Disposition};
 use crate::column::ColumnData;
 use crate::error::{Result, StorageError};
-use crate::index::{HashIndex, JoinIndex};
+use crate::index::{HashIndex, JoinIndex, KeyRanges};
 use crate::schema::TableSchema;
 use crate::table::Table;
 use parking_lot::RwLock;
@@ -59,6 +59,27 @@ struct TableState {
     pk: Option<PkState>,
     /// FK join indices keyed by parent table name.
     join_indices: HashMap<String, Arc<JoinIndex>>,
+    /// Key-range directories keyed by column name (see
+    /// [`Database::key_ranges`]). Row positions shift exactly when join
+    /// indices go stale, so both are cleared together.
+    key_ranges: HashMap<String, Arc<KeyRanges>>,
+}
+
+impl TableState {
+    fn new(table: Table) -> Self {
+        TableState {
+            table,
+            pk: None,
+            join_indices: HashMap::new(),
+            key_ranges: HashMap::new(),
+        }
+    }
+
+    /// Drop the structures that address rows by position.
+    fn invalidate_positions(&mut self) {
+        self.join_indices.clear();
+        self.key_ranges.clear();
+    }
 }
 
 /// The database.
@@ -120,7 +141,7 @@ impl Database {
                 // caches / scratch space by definition).
                 Disposition::Resident => Table::new_resident(entry.schema.clone())?,
             };
-            tables.insert(name, TableState { table, pk: None, join_indices: HashMap::new() });
+            tables.insert(name, TableState::new(table));
         }
         Ok(Database {
             dir: Some(dir.to_path_buf()),
@@ -158,9 +179,7 @@ impl Database {
             }
             _ => Table::new_resident(schema)?,
         };
-        inner
-            .tables
-            .insert(name, TableState { table, pk: None, join_indices: HashMap::new() });
+        inner.tables.insert(name, TableState::new(table));
         self.save_catalog(&inner)?;
         Ok(())
     }
@@ -291,8 +310,9 @@ impl Database {
         let state = inner.tables.get_mut(name).expect("checked above");
         let was_persistent = state.table.is_persistent();
         let n = state.table.append(cols)?;
-        // Any previously built join indices on this table are stale.
-        state.join_indices.clear();
+        // Any previously built join indices and key directories on this
+        // table are stale.
+        state.invalidate_positions();
         if was_persistent {
             for path in state.table.column_paths() {
                 if let Some(fid) = self.pool.disk().forget(&path) {
@@ -346,6 +366,55 @@ impl Database {
             .collect()
     }
 
+    /// Materialize rows `[from, to)` of selected columns of `name` (by
+    /// column name); `to` is clamped to the row count. Persistent
+    /// columns read only the pages the range covers.
+    pub fn scan_columns_range(
+        &self,
+        name: &str,
+        cols: &[&str],
+        from: u64,
+        to: u64,
+    ) -> Result<Vec<ColumnData>> {
+        let inner = self.inner.read();
+        let state = inner
+            .tables
+            .get(name)
+            .ok_or_else(|| StorageError::Catalog(format!("no such table {name:?}")))?;
+        let schema = state.table.schema();
+        cols.iter()
+            .map(|c| {
+                state.table.scan_column_range(&self.pool, schema.col_index(c)?, from, to)
+            })
+            .collect()
+    }
+
+    /// The row ranges of every key of `name`'s integer column `column`
+    /// (e.g. `D.file_id`: which rows each chunk contributed). Built by
+    /// one column scan on first use and cached until the table's rows
+    /// move (`append`, `retain_rows`), like the join indices.
+    pub fn key_ranges(&self, name: &str, column: &str) -> Result<Arc<KeyRanges>> {
+        if let Some(ranges) =
+            self.inner.read().tables.get(name).and_then(|s| s.key_ranges.get(column))
+        {
+            return Ok(Arc::clone(ranges));
+        }
+        // Built under the write lock, so no append can slip between the
+        // scan and the cache insert and leave a stale directory behind.
+        let mut inner = self.inner.write();
+        let state = inner
+            .tables
+            .get_mut(name)
+            .ok_or_else(|| StorageError::Catalog(format!("no such table {name:?}")))?;
+        if let Some(ranges) = state.key_ranges.get(column) {
+            return Ok(Arc::clone(ranges));
+        }
+        let idx = state.table.schema().col_index(column)?;
+        let ranges = Arc::new(state.table.key_ranges(&self.pool, idx)?);
+        state.key_ranges.insert(column.to_string(), Arc::clone(&ranges));
+        Ok(ranges)
+    }
+
     /// Build the PK hash index of `name` (idempotent).
     pub fn build_pk_index(&self, name: &str) -> Result<()> {
         let mut inner = self.inner.write();
@@ -392,7 +461,8 @@ impl Database {
     }
 
     /// Keep only the rows of `name` whose `keep` flag is true. Any
-    /// cached PK state and join indices on the table are dropped (row
+    /// cached PK state, join indices and key directories on the table
+    /// are dropped (row
     /// positions shift), and buffer-pool pages of rewritten column
     /// files are invalidated. Returns the number of deleted rows.
     pub fn retain_rows(&self, name: &str, keep: &[bool]) -> Result<u64> {
@@ -414,7 +484,7 @@ impl Database {
         let deleted = state.table.retain_rows(pool, keep)?;
         if deleted > 0 {
             state.pk = None;
-            state.join_indices.clear();
+            state.invalidate_positions();
             if was_persistent {
                 for path in state.table.column_paths() {
                     if let Some(fid) = pool.disk().forget(&path) {
@@ -557,6 +627,11 @@ mod tests {
     use crate::column::TextColumn;
     use crate::schema::TableClass;
     use crate::value::DataType;
+
+    /// Ranges as `(start, end)` pairs, for comparisons.
+    fn spans(ranges: &[std::ops::Range<u64>]) -> Vec<(u64, u64)> {
+        ranges.iter().map(|r| (r.start, r.end)).collect()
+    }
 
     fn f_schema() -> TableSchema {
         TableSchema::new("F", TableClass::MetadataGiven)
@@ -764,6 +839,123 @@ mod tests {
             ConstraintPolicy::all(),
         );
         assert!(matches!(dup, Err(StorageError::Constraint(_))));
+    }
+
+    fn d_schema() -> TableSchema {
+        TableSchema::new("D", TableClass::ActualData)
+            .column("file_id", DataType::Int64)
+            .column("v", DataType::Float64)
+    }
+
+    /// `rows` rows of D: file ids `i / 1000`, values `i`.
+    fn d_batch(rows: usize) -> Vec<ColumnData> {
+        vec![
+            ColumnData::Int64((0..rows as i64).map(|i| i / 1000).collect()),
+            ColumnData::Float64((0..rows).map(|i| i as f64).collect()),
+        ]
+    }
+
+    /// Range reads agree with slicing a full scan, including ranges
+    /// that cross a page boundary, end in the short final page, or run
+    /// past the last row.
+    fn check_range_reads(db: &Database, rows: u64) {
+        let full = db.scan_columns("D", &["file_id", "v"]).unwrap();
+        let per_page = (crate::page::PAGE_SIZE / 8) as u64;
+        for (from, to) in [
+            (0, 10),
+            (per_page - 3, per_page + 5),
+            (per_page + 1, rows),
+            (rows - 2, rows + 100),
+            (rows, rows + 1),
+        ] {
+            let got = db.scan_columns_range("D", &["v", "file_id"], from, to).unwrap();
+            let end = to.min(rows) as usize;
+            let start = (from as usize).min(end);
+            assert_eq!(
+                got[0].as_f64().unwrap(),
+                &full[1].as_f64().unwrap()[start..end],
+                "v [{from}, {to})"
+            );
+            assert_eq!(
+                got[1].as_i64().unwrap(),
+                &full[0].as_i64().unwrap()[start..end],
+                "file_id [{from}, {to})"
+            );
+        }
+    }
+
+    #[test]
+    fn scan_columns_range_resident() {
+        let db = Database::in_memory(BufferPoolConfig::default());
+        db.create_table(d_schema(), Disposition::Resident).unwrap();
+        let rows = 8192 + 100;
+        db.append("D", &d_batch(rows), ConstraintPolicy::none()).unwrap();
+        check_range_reads(&db, rows as u64);
+        assert!(db.scan_columns_range("D", &["nope"], 0, 1).is_err());
+        assert!(db.scan_columns_range("X", &["v"], 0, 1).is_err());
+    }
+
+    #[test]
+    fn scan_columns_range_persistent_reads_only_its_pages() {
+        let dir = std::env::temp_dir().join(format!("somm-dbrange-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let db = Database::create(&dir, BufferPoolConfig::default()).unwrap();
+        db.create_table(d_schema(), Disposition::Persistent).unwrap();
+        // Two full pages of 8-byte values plus a short third page.
+        let rows = 2 * 8192 + 100;
+        db.append("D", &d_batch(rows), ConstraintPolicy::none()).unwrap();
+        let before = db.pool().stats().snapshot();
+        let got = db.scan_columns_range("D", &["v"], 2 * 8192 + 10, 2 * 8192 + 20).unwrap();
+        assert_eq!(got[0].as_f64().unwrap()[0], (2 * 8192 + 10) as f64);
+        let after = db.pool().stats().snapshot();
+        assert_eq!(after.misses - before.misses, 1, "one page of one column");
+        check_range_reads(&db, rows as u64);
+        drop(db);
+        Database::destroy(&dir).unwrap();
+    }
+
+    #[test]
+    fn key_ranges_directory_splits_runs_and_is_cached() {
+        let db = Database::in_memory(BufferPoolConfig::default());
+        db.create_table(d_schema(), Disposition::Resident).unwrap();
+        // Chunk 5 arrives in two batches with chunk 6 in between.
+        for (id, n) in [(5, 3), (6, 2), (5, 1)] {
+            db.append(
+                "D",
+                &[ColumnData::Int64(vec![id; n]), ColumnData::Float64(vec![0.0; n])],
+                ConstraintPolicy::none(),
+            )
+            .unwrap();
+        }
+        let kr = db.key_ranges("D", "file_id").unwrap();
+        assert_eq!(spans(kr.get(5)), [(0, 3), (5, 6)]);
+        assert_eq!(spans(kr.get(6)), [(3, 5)]);
+        assert!(kr.get(7).is_empty());
+        assert!(Arc::ptr_eq(&kr, &db.key_ranges("D", "file_id").unwrap()), "cached");
+        assert!(db.key_ranges("D", "v").is_err(), "float column");
+        assert!(db.key_ranges("D", "nope").is_err());
+    }
+
+    #[test]
+    fn key_ranges_invalidated_by_append_and_retain_rows() {
+        let db = Database::in_memory(BufferPoolConfig::default());
+        db.create_table(d_schema(), Disposition::Resident).unwrap();
+        db.append("D", &d_batch(2500), ConstraintPolicy::none()).unwrap();
+        let kr = db.key_ranges("D", "file_id").unwrap();
+        assert_eq!(spans(kr.get(2)), [(2000, 2500)]);
+        db.append(
+            "D",
+            &[ColumnData::Int64(vec![0; 2]), ColumnData::Float64(vec![0.0; 2])],
+            ConstraintPolicy::none(),
+        )
+        .unwrap();
+        let kr = db.key_ranges("D", "file_id").unwrap();
+        assert_eq!(spans(kr.get(0)), [(0, 1000), (2500, 2502)], "rebuilt after append");
+        assert_eq!(db.delete_chunk_rows("D", "file_id", 1).unwrap(), 1000);
+        let kr = db.key_ranges("D", "file_id").unwrap();
+        assert!(kr.get(1).is_empty(), "rebuilt after retain_rows");
+        assert_eq!(spans(kr.get(2)), [(1000, 1500)]);
+        assert_eq!(spans(kr.get(0)), [(0, 1000), (1500, 1502)]);
     }
 
     #[test]

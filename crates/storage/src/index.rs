@@ -11,6 +11,9 @@
 //!   it during a join is a positional gather, the paper's observation
 //!   that "constructing the join index is actually computing the join
 //!   itself".
+//! * [`KeyRanges`] — the row ranges of every key of an integer column:
+//!   over a table loaded chunk by chunk, the directory from a chunk id
+//!   to the rows that chunk contributed.
 
 use crate::column::ColumnData;
 use crate::error::{Result, StorageError};
@@ -18,6 +21,7 @@ use crate::value::Value;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Range;
 
 /// A multiply-shift hasher for the single-`i64`-key fast lane. SipHash
 /// (the default hasher) costs more than the rest of a probe put
@@ -475,10 +479,88 @@ impl JoinIndex {
     }
 }
 
+/// The row ranges of every key of one integer column, in row order:
+/// each maximal run of equal adjacent values is one range. Over a table
+/// appended chunk by chunk, a chunk-id column yields one range per
+/// chunk (more if a chunk's rows were appended in several batches).
+#[derive(Debug, Default)]
+pub struct KeyRanges {
+    runs: HashMap<i64, Vec<Range<u64>>, BuildHasherDefault<I64KeyHasher>>,
+    /// Rows covered so far (the next row's position while building).
+    rows: u64,
+    /// The run being extended: its key and first row.
+    open: Option<(i64, u64)>,
+}
+
+impl KeyRanges {
+    /// Extend the directory with the next block of the column's values
+    /// (blocks must arrive in row order).
+    pub fn push_block(&mut self, values: &[i64]) {
+        for &v in values {
+            match self.open {
+                Some((key, _)) if key == v => {}
+                _ => {
+                    self.close_run();
+                    self.open = Some((v, self.rows));
+                }
+            }
+            self.rows += 1;
+        }
+    }
+
+    /// Close the open run; the directory is complete.
+    pub fn finish(mut self) -> Self {
+        self.close_run();
+        self
+    }
+
+    fn close_run(&mut self) {
+        if let Some((key, start)) = self.open.take() {
+            self.runs.entry(key).or_default().push(start..self.rows);
+        }
+    }
+
+    /// The row ranges holding `key`, in row order (empty if absent).
+    pub fn get(&self, key: i64) -> &[Range<u64>] {
+        self.runs.get(&key).map_or(&[], Vec::as_slice)
+    }
+
+    /// Number of distinct keys.
+    pub fn len(&self) -> usize {
+        self.runs.len()
+    }
+
+    /// True if the column held no rows.
+    pub fn is_empty(&self) -> bool {
+        self.runs.is_empty()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::column::TextColumn;
+
+    /// Ranges as `(start, end)` pairs, for comparisons.
+    fn spans(ranges: &[std::ops::Range<u64>]) -> Vec<(u64, u64)> {
+        ranges.iter().map(|r| (r.start, r.end)).collect()
+    }
+
+    #[test]
+    fn key_ranges_split_a_key_over_two_runs_and_blocks() {
+        let mut kr = KeyRanges::default();
+        // Key 7 appears in two runs; the second block continues key 9's
+        // run across the block boundary.
+        kr.push_block(&[7, 7, 9]);
+        kr.push_block(&[9, 7, 8]);
+        let kr = kr.finish();
+        assert_eq!(spans(kr.get(7)), [(0, 2), (4, 5)]);
+        assert_eq!(spans(kr.get(9)), [(2, 4)]);
+        assert_eq!(spans(kr.get(8)), [(5, 6)]);
+        assert!(kr.get(42).is_empty());
+        assert_eq!(kr.len(), 3);
+        assert!(KeyRanges::default().finish().is_empty());
+    }
 
     #[test]
     fn hash_index_probe_finds_rows() {

@@ -4,8 +4,12 @@ use crate::buffer::BufferPool;
 use crate::colfile::ColumnFile;
 use crate::column::ColumnData;
 use crate::error::{Result, StorageError};
+use crate::index::KeyRanges;
 use crate::schema::TableSchema;
 use std::path::Path;
+
+/// Rows per block of the column scan behind [`Table::key_ranges`].
+const KEY_SCAN_BLOCK: u64 = 64 * 1024;
 
 /// Column storage for one table.
 #[derive(Debug)]
@@ -207,6 +211,39 @@ impl Table {
             TableStore::Resident(cols) => Ok(cols[idx].clone()),
             TableStore::Persistent(files) => files[idx].read_all(pool),
         }
+    }
+
+    /// Materialize rows `[from, to)` of one column (`to` is clamped to
+    /// the row count).
+    pub fn scan_column_range(
+        &self,
+        pool: &BufferPool,
+        idx: usize,
+        from: u64,
+        to: u64,
+    ) -> Result<ColumnData> {
+        match &self.store {
+            TableStore::Resident(cols) => {
+                let to = to.min(self.rows);
+                let from = from.min(to);
+                Ok(cols[idx].slice(from as usize, to as usize))
+            }
+            TableStore::Persistent(files) => files[idx].read_range(pool, from, to),
+        }
+    }
+
+    /// The row ranges of every key of an integer column, from one scan
+    /// in blocks of 64 Ki rows (so the scan never materializes the
+    /// whole column).
+    pub fn key_ranges(&self, pool: &BufferPool, idx: usize) -> Result<KeyRanges> {
+        let mut ranges = KeyRanges::default();
+        let mut from = 0;
+        while from < self.rows {
+            let to = (from + KEY_SCAN_BLOCK).min(self.rows);
+            ranges.push_block(self.scan_column_range(pool, idx, from, to)?.as_i64()?);
+            from = to;
+        }
+        Ok(ranges.finish())
     }
 
     /// Materialize every column.

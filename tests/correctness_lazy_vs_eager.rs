@@ -3,9 +3,14 @@
 //! for every query type — lazy ingestion, the two-stage rewrite, index
 //! joins and incremental DMd derivation are pure optimizations.
 
-use sommelier_core::{LoadingMode, QueryType, SommelierConfig};
-use sommelier_integration::{ingv_repo, prepared, TempDir};
+use sommelier_core::source::assemble_catalog;
+use sommelier_core::{LoadingMode, QueryType, SommelierConfig, SourceAdapter};
+use sommelier_integration::{
+    assert_relations_close, ingv_repo, prepared, reference_answer, TempDir,
+};
+use sommelier_mseed::{MseedAdapter, Repository};
 use sommelier_storage::Value;
+use std::path::{Path, PathBuf};
 
 /// The five benchmark queries over the same small dataset.
 fn queries() -> Vec<(&'static str, String)> {
@@ -176,4 +181,79 @@ fn lazy_aggregate_matches_manual_recomputation() {
     };
     assert!(n > 0.0);
     assert!((a - s / n).abs() < 1e-9, "AVG {a} vs SUM/COUNT {}", s / n);
+}
+
+#[test]
+fn eager_modes_match_the_inference_free_reference_planner() {
+    // Every loading mode plans metadata-first; the oracle is the
+    // reference planner (plain scans, no inference, no pruning) run
+    // without chunk access over the same loaded database.
+    let dir = TempDir::new("reference-oracle");
+    let repo = ingv_repo(&dir, 3, 64);
+    let adapter = MseedAdapter::new(Repository::at(repo.dir()));
+    let catalog = assemble_catalog(&[adapter.descriptor()]).unwrap();
+    for mode in [LoadingMode::EagerPlain, LoadingMode::EagerIndex, LoadingMode::EagerDmd] {
+        let somm = prepared(&repo, mode, SommelierConfig::default());
+        for (name, sql) in queries() {
+            // Production first: in modes without materialized DMd it
+            // derives the windows the reference then scans.
+            let got = somm.query(&sql).unwrap_or_else(|e| panic!("{name} under {mode}: {e}"));
+            assert!(got.stats.accounting_balanced(), "{name} under {mode}");
+            assert_eq!(got.stats.files_loaded, 0, "{name} under {mode} decodes nothing");
+            let want = reference_answer(&somm, &catalog, &sql);
+            assert!(want.rows() > 0, "{name}: empty reference answer proves nothing");
+            assert_relations_close(&got.relation, &want, &format!("{name} under {mode}"));
+        }
+    }
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path) -> Vec<PathBuf> {
+    let mut out = Vec::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            out.extend(rust_files(&path));
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    out
+}
+
+/// A source file without its unit-test module (tests may use the
+/// reference planner; production code may not).
+fn production_text(path: &Path) -> String {
+    let text = std::fs::read_to_string(path).unwrap();
+    match text.find("#[cfg(test)]") {
+        Some(i) => text[..i].to_string(),
+        None => text,
+    }
+}
+
+#[test]
+fn one_production_planner_guardrail() {
+    // One planner serves every loading mode. The eager switch must not
+    // come back, and the reference planner stays a test oracle.
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let joinorder = crates.join("engine/src/joinorder.rs");
+    let joinorder_text = std::fs::read_to_string(&joinorder).unwrap();
+    for banned in ["fn eager(", "pub metadata_first:", "pub lazy:"] {
+        assert!(!joinorder_text.contains(banned), "PlanOptions regained `{banned}`");
+    }
+    let mut scanned = 0;
+    for krate in ["core", "engine", "sql", "storage", "server", "mseed", "bench"] {
+        for path in rust_files(&crates.join(krate).join("src")) {
+            let text = production_text(&path);
+            assert!(!text.contains("PlanOptions::eager"), "{} plans eagerly", path.display());
+            let reference_allowed = path == joinorder || !matches!(krate, "core" | "engine");
+            assert!(
+                reference_allowed || !text.contains("order_traditional"),
+                "{} runs the reference planner in production",
+                path.display()
+            );
+            scanned += 1;
+        }
+    }
+    assert!(scanned > 50, "guardrail scanned only {scanned} files");
 }

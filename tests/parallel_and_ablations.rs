@@ -146,6 +146,14 @@ fn approximate_answering_samples_chunks() {
     // Invalid fractions rejected.
     assert!(somm.query_approx(sql, 0.0).is_err());
     assert!(somm.query_approx(sql, 1.5).is_err());
+    // Eager modes run the same plan: the same sample, read from the
+    // loaded table instead of decoded.
+    let eager = prepared(&repo, LoadingMode::EagerPlain, SommelierConfig::default());
+    let sampled = eager.query_approx(sql, 0.3).unwrap();
+    assert_eq!(sampled.stats.files_sampled_out, 7);
+    assert_eq!(sampled.stats.cache_hits, 3);
+    assert!(sampled.stats.accounting_balanced());
+    assert_eq!(scalar_f64(&sampled, "avg").unwrap(), scalar_f64(&approx, "avg").unwrap());
 }
 
 // ---- serial ≡ parallel, byte for byte ------------------------------

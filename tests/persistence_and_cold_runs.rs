@@ -166,20 +166,65 @@ fn reopened_system_restores_prepared_mode() {
     // `EagerIndex` database used to silently downgrade to `EagerPlain`
     // (the mode was guessed from D's row count), losing
     // `use_index_joins` after every restart. The mode is persisted now.
+    // Eager T4/T5 read their chunks' rows through D's key directory,
+    // which is not persisted: it is rebuilt on first use after `open`.
     let dir = TempDir::new("mode-persist");
     let repo = fiam_repo(&dir, 2, 32);
-    let db_dir = dir.join("db");
-    let sql = "SELECT AVG(D.sample_value) FROM dataview \
-               WHERE D.sample_time < '2010-01-02T00:00:00.000'";
-    let want = {
-        let somm = disk_system(&db_dir, &repo, SommelierConfig::default()).unwrap();
-        somm.prepare(LoadingMode::EagerIndex).unwrap();
+    let t4 = "SELECT AVG(D.sample_value) FROM dataview \
+              WHERE D.sample_time < '2010-01-02T00:00:00.000'";
+    let t5 = "SELECT COUNT(*) AS n, AVG(D.sample_value) AS a FROM windowdataview \
+              WHERE H.window_start_ts < '2010-01-02T00:00:00.000' \
+              AND H.window_max_val > -1000000000";
+    for mode in [LoadingMode::EagerIndex, LoadingMode::EagerDmd] {
+        let db_dir = dir.join(mode.label());
+        let want: Vec<String> = {
+            let somm = disk_system(&db_dir, &repo, SommelierConfig::default()).unwrap();
+            somm.prepare(mode).unwrap();
+            assert!(somm.db().join_index("D", "F").is_some());
+            [t4, t5].map(|sql| format!("{:?}", somm.query(sql).unwrap().relation)).to_vec()
+        };
+        let somm = open_system(&db_dir, &repo, SommelierConfig::default()).unwrap();
+        assert_eq!(somm.mode(), Some(mode), "mode restored, not guessed");
+        // Join indices are rebuilt on open (the FK check of the eager
+        // index loading step).
         assert!(somm.db().join_index("D", "F").is_some());
-        somm.query(sql).unwrap().relation.value(0, "avg").unwrap()
+        for (sql, want) in [t4, t5].into_iter().zip(want) {
+            let r = somm.query(sql).unwrap();
+            assert_eq!(r.stats.files_loaded, 0, "{mode}: {sql}");
+            assert!(r.stats.cache_hits > 0, "{mode}: stage 2 reads the loaded rows: {sql}");
+            assert_eq!(format!("{:?}", r.relation), want, "{mode}: {sql}");
+        }
+        let directory = somm.db().key_ranges("D", "file_id").unwrap();
+        assert_eq!(directory.len(), somm.registered_chunks(), "{mode}: one key per chunk");
+    }
+}
+
+#[test]
+fn eager_pool_counts_repeat_across_systems() {
+    // Eager stage 2 issues its page reads in chunk-list order from one
+    // thread, with only the per-chunk pipelines on the workers. Under a
+    // pool far smaller than the loaded database, the pages left
+    // resident — and so every later hit and miss — must then be the
+    // same on every run of the same set-up and queries.
+    let dir = TempDir::new("eager-pool-repeat");
+    let repo = fiam_repo(&dir, 6, 64);
+    let config = SommelierConfig {
+        buffer_pool_bytes: 4 * 64 * 1024,
+        max_threads: 4,
+        ..SommelierConfig::default()
     };
-    let somm = open_system(&db_dir, &repo, SommelierConfig::default()).unwrap();
-    assert_eq!(somm.mode(), Some(LoadingMode::EagerIndex), "mode restored, not guessed");
-    // Join indices are rebuilt on open so index-join plans still work.
-    assert!(somm.db().join_index("D", "F").is_some());
-    assert_eq!(somm.query(sql).unwrap().relation.value(0, "avg").unwrap(), want);
+    let sql = "SELECT AVG(D.sample_value) FROM windowdataview \
+               WHERE H.window_start_ts < '2010-01-05T00:00:00.000' \
+               AND H.window_max_val > -1000000000";
+    let run = |name: &str| {
+        let somm = disk_system(&dir.join(name), &repo, config.clone()).unwrap();
+        somm.prepare(LoadingMode::EagerDmd).unwrap();
+        let answer = format!("{:?}", somm.query(sql).unwrap().relation);
+        (answer, somm.db().pool().stats().snapshot())
+    };
+    let first = run("a");
+    assert!(first.1.evictions > 0, "the pool must be too small to hold the database");
+    for name in ["b", "c"] {
+        assert_eq!(run(name), first, "pool counts diverged on run {name}");
+    }
 }

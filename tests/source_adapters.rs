@@ -3,8 +3,9 @@
 //! seismology and event-log schemas side by side under one cellar.
 
 use sommelier_core::adapters::{generate_event_logs, EventLogAdapter, EventLogSpec};
+use sommelier_core::source::assemble_catalog;
 use sommelier_core::{LoadingMode, QueryType, Sommelier, SommelierConfig, SourceAdapter};
-use sommelier_integration::{ingv_repo, TempDir};
+use sommelier_integration::{assert_relations_close, ingv_repo, reference_answer, TempDir};
 use sommelier_mseed::{MseedAdapter, Repository};
 use std::path::{Path, PathBuf};
 
@@ -101,33 +102,18 @@ fn rendered(r: &sommelier_core::QueryResult) -> String {
     format!("{:?}", r.relation)
 }
 
-/// Cell-wise comparison across *loading modes*: exact for ints, texts
-/// and timestamps, relative-1e-9 for floats — lazy plans aggregate
-/// chunk-by-chunk (partial aggregation), so float sums may differ from
-/// an eager plan's straight-line summation in the last ulp. (Serial vs
-/// parallel within one mode stays byte-identical; see
+/// Cell-wise comparison across loading modes (see
+/// [`assert_relations_close`]). Every mode runs the same metadata-first
+/// plan, aggregating chunk by chunk; the tolerance matters against the
+/// reference planner, which sums straight-line. (Serial vs parallel
+/// within one mode stays byte-identical; see
 /// `parallel_and_ablations.rs`.)
 fn assert_results_close(
     l: &sommelier_core::QueryResult,
     e: &sommelier_core::QueryResult,
     sql: &str,
 ) {
-    let (lr, er) = (&l.relation, &e.relation);
-    assert_eq!(lr.names(), er.names(), "schema diverged on {sql}");
-    assert_eq!(lr.rows(), er.rows(), "cardinality diverged on {sql}");
-    for row in 0..lr.rows() {
-        for name in lr.names() {
-            let a = lr.value(row, name).unwrap();
-            let b = er.value(row, name).unwrap();
-            match (&a, &b) {
-                (sommelier_storage::Value::Float(x), sommelier_storage::Value::Float(y)) => {
-                    let tol = 1e-9 * x.abs().max(y.abs()).max(1.0);
-                    assert!((x - y).abs() <= tol, "{name}[{row}]: {x} vs {y} on {sql}");
-                }
-                _ => assert_eq!(a, b, "{name}[{row}] diverged on {sql}"),
-            }
-        }
-    }
+    assert_relations_close(&l.relation, &e.relation, sql);
 }
 
 #[test]
@@ -144,6 +130,26 @@ fn eventlog_lazy_matches_eager_on_all_query_types() {
         assert_eq!(l.qtype, expected, "classification of {sql}");
         assert_eq!(e.qtype, expected);
         assert_results_close(&l, &e, sql);
+    }
+}
+
+#[test]
+fn eventlog_eager_modes_match_the_reference_planner() {
+    let dir = TempDir::new("evl-reference");
+    let logs = eventlog_repo(&dir, 3, 32);
+    let catalog = assemble_catalog(&[EventLogAdapter::new(&logs).descriptor()]).unwrap();
+    for mode in [LoadingMode::EagerPlain, LoadingMode::EagerIndex, LoadingMode::EagerDmd] {
+        let somm = eventlog_system(&logs);
+        somm.prepare(mode).unwrap();
+        for (sql, expected) in eventlog_queries() {
+            let got = somm.query(sql).unwrap();
+            assert_eq!(got.qtype, expected, "classification of {sql}");
+            assert_eq!(got.stats.files_loaded, 0, "{sql} under {mode} decodes nothing");
+            assert!(got.stats.accounting_balanced(), "{sql} under {mode}");
+            let want = reference_answer(&somm, &catalog, sql);
+            assert!(want.rows() > 0, "empty reference answer for {sql}");
+            assert_relations_close(&got.relation, &want, &format!("{sql} under {mode}"));
+        }
     }
 }
 
